@@ -547,6 +547,16 @@ impl LookupEngine {
     /// Returns the first [`ChgError`] produced by validation. On error
     /// the engine is unchanged — hierarchy, cache, and counters.
     pub fn apply(&mut self, edits: &[Edit]) -> Result<(), ChgError> {
+        self.apply_dirty(edits).map(drop)
+    }
+
+    /// [`apply`](Self::apply), returning the dirty set it invalidated
+    /// ([`dirty_set`]'s order) so an index refresh can reuse it instead
+    /// of deriving it a second time.
+    pub(crate) fn apply_dirty(
+        &mut self,
+        edits: &[Edit],
+    ) -> Result<Vec<(ClassId, MemberId)>, ChgError> {
         let new_chg = apply_edits(&self.chg, edits)?;
         let dirty = dirty_set(&new_chg, edits);
         self.chg = new_chg;
@@ -571,7 +581,7 @@ impl LookupEngine {
             recomputed,
             self.chg.generation(),
         );
-        Ok(())
+        Ok(dirty)
     }
 
     /// Recomputes the (invalidated) dirty entries against the updated

@@ -4,11 +4,16 @@
 //! one displacement load plus one data-dependent cell load.
 //!
 //! The key set of a [`DispatchIndex`](crate::serve::DispatchIndex) is
-//! *static between epochs*: every republish rebuilds the directory from
-//! scratch, and no probe ever inserts. That is precisely the regime
+//! *mostly static*: no probe ever inserts, and an edit changes a few
+//! hundred cells of tens of thousands. That is precisely the regime
 //! where spending a little build time to compile the hash itself pays
 //! on every subsequent probe — Hartrumpf's partial-evaluation move
-//! taken to its endpoint.
+//! taken to its endpoint. Edits do not recompile it: a republish
+//! overwrites the cells of keys the hash already covers in place and
+//! parks new keys in a small open-addressed spill beside it, and the
+//! hash is rebuilt over the whole key set only when that spill
+//! outgrows an eighth of the base (see
+//! [`DispatchIndex::refreshed`](crate::serve::DispatchIndex::refreshed)).
 //!
 //! # Shape
 //!
@@ -23,21 +28,34 @@
 //!   (classic hash-and-displace). If any bucket exhausts its
 //!   displacement budget the whole table retries with the next seed in
 //!   a fixed sequence, so the construction — and therefore the snapshot
-//!   bytes that serialize it — is fully deterministic.
+//!   bytes that serialize it — is fully deterministic. The budget grows
+//!   with `n`: the last singleton buckets go into a nearly full table,
+//!   so seating one takes about `n / free` tries.
 //!
 //! The function is *minimal*: exactly `n` slots for `n` keys, every
 //! slot occupied. Alien keys still map to some slot in range; the
 //! caller rejects them with a single key compare against the cell it
 //! finds there, which is the same compare a hit needs anyway.
 
-/// Displacement budget per bucket before the seed is abandoned. Large
-/// enough that a retry is a once-per-many-billions event on real key
-/// sets; small enough that a pathological seed fails fast.
-const MAX_DISPLACEMENT: u32 = 1 << 18;
+/// The least displacement budget per bucket before the seed is
+/// abandoned; [`max_displacement`] raises it for large key sets.
+const MIN_DISPLACEMENT: u32 = 1 << 18;
 
-/// Seeds tried before construction gives up. The per-seed failure
-/// probability is tiny; 64 consecutive failures indicates duplicate
-/// keys (a caller bug), not bad luck.
+/// Displacement budget per bucket for `n` keys: seating the last
+/// singleton buckets of a minimal table takes about `n` tries each (one
+/// free slot left among `n`), so a constant budget fails every seed
+/// once `n` nears it. `4n` leaves the last bucket a failure chance of
+/// about `e⁻⁴` per seed while a pathological seed still fails fast.
+/// For `n ≤ 65,536` this is [`MIN_DISPLACEMENT`], so every table of
+/// that size — and the snapshot bytes that serialize it — is the same
+/// as under the old constant budget.
+fn max_displacement(n: u32) -> u32 {
+    MIN_DISPLACEMENT.max(n.saturating_mul(4))
+}
+
+/// Seeds tried before construction gives up. With the budget scaled to
+/// `n` a retry is rare; 64 consecutive failures means the key set holds
+/// duplicates (a caller bug), which [`MphFunction::build`] then names.
 const MAX_SEEDS: u64 = 64;
 
 /// A one-multiply mix of `key ^ seed`: a multiply-shift whose high
@@ -96,19 +114,31 @@ impl MphFunction {
     ///
     /// # Panics
     ///
-    /// If `keys` contains duplicates (no perfect hash exists), after
-    /// exhausting the seed budget.
+    /// If construction fails on every seed. That happens when `keys`
+    /// contains duplicates (no perfect hash exists); the message then
+    /// names one. Distinct keys failing 64 seeds would be a bug here,
+    /// and the message says so instead.
     pub fn build(keys: &[u64]) -> MphFunction {
         for seed in 0..MAX_SEEDS {
             if let Some(f) = Self::try_build(keys, seed) {
                 return f;
             }
         }
-        panic!(
-            "minimal perfect hash construction failed after {MAX_SEEDS} seeds \
-             over {} keys — the key set must contain duplicates",
-            keys.len()
-        );
+        let mut sorted = keys.to_vec();
+        sorted.sort_unstable();
+        match sorted.windows(2).find(|w| w[0] == w[1]) {
+            Some(w) => panic!(
+                "minimal perfect hash construction over {} keys failed: \
+                 key {:#x} occurs more than once",
+                keys.len(),
+                w[0]
+            ),
+            None => panic!(
+                "minimal perfect hash construction failed after {MAX_SEEDS} seeds \
+                 over {} distinct keys",
+                keys.len()
+            ),
+        }
     }
 
     /// One construction attempt at a fixed seed.
@@ -144,6 +174,7 @@ impl MphFunction {
         let mut taken = vec![false; keys.len()];
         let mut disp = vec![0u32; nbuckets];
         let mut seats: Vec<usize> = Vec::new();
+        let budget = max_displacement(n);
         for &b in &order {
             let bucket = &buckets[b as usize];
             if bucket.is_empty() {
@@ -169,7 +200,7 @@ impl MphFunction {
                     break;
                 }
                 d += 1;
-                if d > MAX_DISPLACEMENT {
+                if d > budget {
                     return None;
                 }
             }
@@ -275,6 +306,28 @@ mod tests {
         let a = MphFunction::build(&keys);
         let b = MphFunction::build(&keys);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn large_key_sets_build_on_the_first_seed() {
+        // A constant budget of 2¹⁸ tries fails seed 0 on this key set:
+        // the last singleton buckets need about n tries each.
+        let keys = keys(600_000, 5);
+        assert_eq!(keys.len(), 600_000);
+        let f = MphFunction::build(&keys);
+        assert_eq!(f.seed(), 0, "600k distinct keys needed a seed retry");
+        let mut seen = vec![false; keys.len()];
+        for &k in &keys {
+            let p = f.position(k);
+            assert!(!seen[p], "slot {p} assigned twice");
+            seen[p] = true;
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "occurs more than once")]
+    fn duplicate_keys_are_named() {
+        MphFunction::build(&[1, 2, 3, 2]);
     }
 
     #[test]

@@ -16,27 +16,30 @@
 //!
 //! ```text
 //! row_starts  : class → first pair            (|N|+1 × u32)
-//! pairs       : (member: u32, slot: u32)      one contiguous run per
+//! members     : member id (u32)               one contiguous run per
 //!               sorted by member id per class  class — rank iteration
 //!                                              and batch locality
 //! directory   : 16-byte cells {key, a, b}     the global probe path,
 //!               key = class | member << 32     verdict decoded inline:
 //!               red  → a = ldc, b = lv         · mph: minimal perfect
 //!               blue → a = pool off,             hash, n cells, zero
-//!                      b = len | BLUE_BIT        collision chains
+//!                      b = len | BLUE_BIT        collision chains, plus
+//!                                                a spill for keys added
+//!                                                since it was built
 //!                                              · open: linear probing,
 //!                                                α ≤ 0.6 (fallback)
-//! entries     : fixed-width pre-decoded slots (24 bytes each)
+//! entries     : fixed-width pre-decoded slots (24 bytes each), in
+//!               lockstep with `members`: entries[i] belongs to members[i]
 //!               red  → {ldc, lv, via, shared off+len}
 //!               blue → {witness off+len}
 //! pool        : shared u32 leastVirtual sets  (0 = Ω, else class+1),
 //!               interned — equal sets share one range
 //! ```
 //!
-//! The rank-sorted `pairs` rows serve ordered iteration
+//! The rank-sorted `members` rows serve ordered iteration
 //! ([`members_of`](DispatchIndex::members_of)); the cell directory
 //! answers a point probe with one hashed 16-byte load. The key set is
-//! *static between epochs*, so the default directory is a minimal
+//! *mostly static*, so the default directory is a minimal
 //! perfect hash ([`crate::mph`]): exactly `n` cells for `n` entries,
 //! every probe is one displacement-array load plus one data-dependent
 //! cache line, with **zero collision chains** — a miss is decided by
@@ -70,7 +73,11 @@
 //!   (re)packs the engine's memo; after
 //!   [`LookupEngine::apply`](crate::LookupEngine::apply) only the dirty
 //!   classes are re-probed, clean rows and their pool ranges are copied
-//!   verbatim.
+//!   verbatim, and the directory is patched rather than rebuilt: cells
+//!   of keys the hash already covers are overwritten in a copy of the
+//!   arena, new keys go to a small open-addressed spill, and the hash
+//!   is rebuilt over every key only once the spill outgrows an eighth
+//!   of it (the *fold*).
 //!
 //! # Epoch publish
 //!
@@ -270,16 +277,122 @@ impl CellArena {
     }
 }
 
+/// An open-addressed cell table: linear probing from [`hash_key`] over
+/// a power-of-two arena kept at load ≤ 0.6 (see [`directory_cap`]). It
+/// is the whole directory of [`DirectoryKind::Open`] and the spill of
+/// the minimal-perfect-hash directory.
+#[derive(Clone, Debug)]
+struct OpenCells {
+    cells: CellArena,
+    /// Occupied cells.
+    live: usize,
+}
+
+impl OpenCells {
+    /// A table of no cells and no arena: the spill of a freshly built
+    /// hash.
+    fn empty() -> OpenCells {
+        OpenCells {
+            cells: CellArena::vacant(0),
+            live: 0,
+        }
+    }
+
+    /// A table holding `cells` (distinct keys), sized for them.
+    fn build(cells: &[Cell]) -> OpenCells {
+        let mut table = OpenCells {
+            cells: CellArena::vacant(directory_cap(cells.len())),
+            live: 0,
+        };
+        for &cell in cells {
+            table.upsert(cell);
+        }
+        table
+    }
+
+    /// The arena index holding `key`, or else the vacant cell that
+    /// ends its probe chain. The arena must be non-empty, and `key`
+    /// must not be [`Cell::VACANT`].
+    #[inline]
+    fn find(&self, key: u64) -> usize {
+        let mask = self.cells.len() - 1;
+        let mut at = hash_key(key) & mask;
+        loop {
+            let cell_key = self.cells.get(at).key;
+            if cell_key == key || cell_key == Cell::VACANT {
+                return at;
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// The cell holding `key` (not [`Cell::VACANT`]), if any. The arena
+    /// must be non-empty.
+    #[inline]
+    fn get(&self, key: u64) -> Option<&Cell> {
+        let cell = self.cells.get(self.find(key));
+        (cell.key == key).then_some(cell)
+    }
+
+    /// [`get`](Self::get) for the spill: answers without touching the
+    /// arena while the spill is empty, and rejects the vacant sentinel
+    /// an out-of-range batch probe packs to.
+    #[inline]
+    fn spill_get(&self, key: u64) -> Option<&Cell> {
+        if self.live == 0 || key == Cell::VACANT {
+            None
+        } else {
+            self.get(key)
+        }
+    }
+
+    /// Writes `cell` under its key, overwriting an existing cell of
+    /// that key. The arena regrows first whenever one more key would
+    /// push the load past 0.6, so it never fills up.
+    fn upsert(&mut self, cell: Cell) {
+        let cap = directory_cap(self.live + 1);
+        if cap > self.cells.len() {
+            let old = std::mem::replace(&mut self.cells, CellArena::vacant(cap));
+            for block in &old.blocks {
+                for &moved in &block.0 {
+                    if moved.key != Cell::VACANT {
+                        let at = self.find(moved.key);
+                        self.cells.set(at, moved);
+                    }
+                }
+            }
+        }
+        let at = self.find(cell.key);
+        if self.cells.get(at).key == Cell::VACANT {
+            self.live += 1;
+        }
+        self.cells.set(at, cell);
+    }
+}
+
+/// The minimal-perfect-hash directory folds its spill back into a
+/// freshly built hash once the spill holds more than `n / SPILL_FOLD`
+/// keys, `n` being the keys the hash was built over. Past that, spilled
+/// probes stop being rare; before it, a fold would cost an edit a whole
+/// hash construction for a spill that stays a few cache lines.
+const SPILL_FOLD: usize = 8;
+
 /// The probe directory behind [`DispatchIndex::lookup_ref`]: either the
 /// minimal perfect hash (one displacement + one cell, every cell
 /// occupied by a live key) or the open-addressed fallback.
 #[derive(Clone, Debug)]
 enum Directory {
     /// Linear probing over a power-of-two arena at load ≤ 0.6.
-    Open(CellArena),
+    Open(OpenCells),
     /// One cell per key at the hash's slot; misses are rejected by the
-    /// key compare on the single probed cell.
-    Mph { mph: MphFunction, cells: CellArena },
+    /// key compare on the single probed cell. Keys added by edits since
+    /// the hash was built live in `spill`, which a probe reads only
+    /// after that compare fails and only while the spill is non-empty.
+    Mph {
+        mph: MphFunction,
+        cells: CellArena,
+        spill: OpenCells,
+    },
 }
 
 /// How a constructor obtains its directory: build one of the given
@@ -304,35 +417,75 @@ impl Directory {
     #[inline]
     fn get(&self, key: u64) -> Option<&Cell> {
         match self {
-            Directory::Mph { mph, cells } => {
+            Directory::Mph { mph, cells, spill } => {
                 if cells.len() == 0 {
                     return None;
                 }
                 let cell = cells.get(mph.position(key));
-                (cell.key == key).then_some(cell)
-            }
-            Directory::Open(cells) => {
-                let mask = cells.len() - 1;
-                let mut at = hash_key(key) & mask;
-                loop {
-                    let cell = cells.get(at);
-                    if cell.key == key {
-                        return Some(cell);
-                    }
-                    if cell.key == Cell::VACANT {
-                        return None;
-                    }
-                    at = (at + 1) & mask;
+                if cell.key == key {
+                    Some(cell)
+                } else {
+                    spill.spill_get(key)
                 }
+            }
+            Directory::Open(table) => table.get(key),
+        }
+    }
+
+    /// This directory with `patch` written in — a new directory, so
+    /// readers of this one keep their epoch. Each cell replaces the
+    /// cell of its key if there is one, else adds the key. `None` when
+    /// the minimal-perfect-hash directory's spill would outgrow its
+    /// bound: the caller rebuilds the hash over every key instead.
+    fn patched(&self, patch: &[Cell]) -> Option<Directory> {
+        match self {
+            Directory::Open(table) => {
+                let mut table = table.clone();
+                for &cell in patch {
+                    table.upsert(cell);
+                }
+                Some(Directory::Open(table))
+            }
+            Directory::Mph { mph, cells, spill } => {
+                let mut cells = cells.clone();
+                let mut spill = spill.clone();
+                let limit = mph.n() as usize / SPILL_FOLD;
+                for &cell in patch {
+                    let at = (cells.len() > 0).then(|| mph.position(cell.key));
+                    match at {
+                        Some(at) if cells.get(at).key == cell.key => cells.set(at, cell),
+                        _ => {
+                            spill.upsert(cell);
+                            if spill.live > limit {
+                                return None;
+                            }
+                        }
+                    }
+                }
+                Some(Directory::Mph {
+                    mph: mph.clone(),
+                    cells,
+                    spill,
+                })
             }
         }
     }
 
-    /// Allocated directory bytes (cells + hash metadata).
+    /// Keys held in the minimal-perfect-hash directory's spill.
+    fn spill_len(&self) -> usize {
+        match self {
+            Directory::Open(_) => 0,
+            Directory::Mph { spill, .. } => spill.live,
+        }
+    }
+
+    /// Allocated directory bytes (cells + hash metadata + spill).
     fn bytes(&self) -> usize {
         match self {
-            Directory::Open(cells) => cells.bytes(),
-            Directory::Mph { mph, cells } => mph.size_bytes() + cells.bytes(),
+            Directory::Open(table) => table.cells.bytes(),
+            Directory::Mph { mph, cells, spill } => {
+                mph.size_bytes() + cells.bytes() + spill.cells.bytes()
+            }
         }
     }
 }
@@ -370,13 +523,6 @@ fn dec_lv(raw: u32) -> LeastVirtual {
         0 => LeastVirtual::Omega,
         c => LeastVirtual::Class(ClassId::from_index(c as usize - 1)),
     }
-}
-
-/// One `(member, slot)` record of a class's rank-sorted index row.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct IndexPair {
-    member: u32,
-    slot: u32,
 }
 
 /// A fixed-width, fully pre-decoded table slot: everything a query
@@ -588,12 +734,13 @@ pub struct DispatchIndex {
     member_count: usize,
     /// `class → first pair index`, length `class_count + 1`.
     row_starts: Vec<u32>,
-    /// Per-class runs sorted by member id.
-    pairs: Vec<IndexPair>,
+    /// Member ids, in per-class runs sorted ascending.
+    members: Vec<u32>,
     /// The global probe directory of pre-decoded verdicts — minimal
     /// perfect hash by default, open-addressed fallback.
     directory: Directory,
-    /// The pre-decoded entry arena; `pairs[i].slot` indexes it.
+    /// The pre-decoded entry arena; `entries[i]` is the entry of
+    /// `members[i]`.
     entries: Vec<PackedEntry>,
     /// Shared encoded `leastVirtual` pool.
     pool: Vec<u32>,
@@ -749,11 +896,19 @@ impl DispatchIndex {
     /// Incrementally refreshes this index against an engine whose
     /// hierarchy just changed: rows of classes in `dirty` (plus any
     /// classes beyond the old `class_count`) are re-probed from the
-    /// engine's memo; every clean row — pairs, packed entries, and
-    /// their pool ranges — is copied verbatim. The pool only grows, so
-    /// copied `set_off` ranges stay valid. The probe directory is
-    /// rebuilt whole (its key set changed) on the same
-    /// [`DirectoryKind`] this index carries.
+    /// engine's memo; every run of clean rows — members, packed entries,
+    /// and their pool ranges — is copied verbatim as two slices. The
+    /// pool only grows, so copied `set_off` ranges stay valid.
+    ///
+    /// The probe directory is patched, not rebuilt: every re-probed
+    /// cell is written into a copy of this index's directory (see
+    /// [`Directory::patched`]), on the same [`DirectoryKind`]. On the
+    /// minimal-perfect-hash directory a key the hash covers has its
+    /// cell overwritten in place and a new key goes to the spill. The
+    /// hash is rebuilt over every key when the spill would outgrow an
+    /// eighth of it, or when a dirty row lost a key it had (no edit
+    /// kind removes one today; the check keeps a dead key from being
+    /// served).
     pub fn refreshed(&self, engine: &LookupEngine, dirty: &[(ClassId, MemberId)]) -> Self {
         let start = Instant::now();
         let chg = engine.chg();
@@ -762,51 +917,67 @@ impl DispatchIndex {
         for &(c, _) in dirty {
             is_dirty[c.index()] = true;
         }
+        // Rows this index never had are re-probed like dirty ones.
+        let old_classes = self.class_count.min(class_count);
+        for row in &mut is_dirty[old_classes..] {
+            *row = true;
+        }
         let mut pool = PoolBuilder::resume(self.pool.clone());
         let mut row_starts = Vec::with_capacity(class_count + 1);
-        let mut pairs = Vec::with_capacity(self.pairs.len());
+        let mut members = Vec::with_capacity(self.members.len());
         let mut entries = Vec::with_capacity(self.entries.len());
+        let mut patch = Vec::new();
+        let mut lost_key = false;
         row_starts.push(0u32);
-        for (ci, &row_dirty) in is_dirty.iter().enumerate() {
-            if ci < self.class_count && !row_dirty {
-                let (lo, hi) = (
-                    self.row_starts[ci] as usize,
-                    self.row_starts[ci + 1] as usize,
-                );
-                for pair in &self.pairs[lo..hi] {
-                    let slot = entries.len() as u32;
-                    entries.push(self.entries[pair.slot as usize]);
-                    pairs.push(IndexPair {
-                        member: pair.member,
-                        slot,
-                    });
-                }
-            } else {
-                let c = ClassId::from_index(ci);
-                for m in chg.member_ids() {
-                    if let Some(e) = engine.entry(c, m) {
-                        let slot = entries.len() as u32;
-                        entries.push(pool.pack(&e));
-                        pairs.push(IndexPair {
-                            member: m.index() as u32,
-                            slot,
-                        });
-                    }
+        let mut ci = 0;
+        while ci < class_count {
+            if !is_dirty[ci] {
+                let end = (ci..old_classes)
+                    .find(|&c| is_dirty[c])
+                    .unwrap_or(old_classes);
+                let (lo, hi) = (self.row_starts[ci], self.row_starts[end]);
+                let at = u32::try_from(members.len()).expect("dispatch index overflow");
+                row_starts.extend(self.row_starts[ci + 1..=end].iter().map(|&s| s - lo + at));
+                members.extend_from_slice(&self.members[lo as usize..hi as usize]);
+                entries.extend_from_slice(&self.entries[lo as usize..hi as usize]);
+                ci = end;
+                continue;
+            }
+            let row = members.len();
+            let c = ClassId::from_index(ci);
+            for m in chg.member_ids() {
+                if let Some(e) = engine.entry(c, m) {
+                    let member = m.index() as u32;
+                    let packed = pool.pack(&e);
+                    patch.push(Self::cell_of(ci, member, &packed));
+                    members.push(member);
+                    entries.push(packed);
                 }
             }
-            row_starts.push(u32::try_from(pairs.len()).expect("dispatch index overflow"));
+            if ci < old_classes && !covers(&members[row..], self.row(ci)) {
+                lost_key = true;
+            }
+            row_starts.push(u32::try_from(members.len()).expect("dispatch index overflow"));
+            ci += 1;
         }
-        let directory = Self::build_directory(
-            DirectoryInit::Build(self.directory_kind()),
-            &row_starts,
-            &pairs,
-            &entries,
-        );
+        let patched = if lost_key {
+            None
+        } else {
+            self.directory.patched(&patch)
+        };
+        let directory = patched.unwrap_or_else(|| {
+            Self::build_directory(
+                DirectoryInit::Build(self.directory_kind()),
+                &row_starts,
+                &members,
+                &entries,
+            )
+        });
         let index = DispatchIndex {
             class_count,
             member_count: chg.member_name_count(),
             row_starts,
-            pairs,
+            members,
             directory,
             entries,
             pool: pool.pool,
@@ -818,6 +989,11 @@ impl DispatchIndex {
             elapsed_ns(start),
         );
         index
+    }
+
+    /// The member ids of class row `ci`, ascending.
+    fn row(&self, ci: usize) -> &[u32] {
+        &self.members[self.row_starts[ci] as usize..self.row_starts[ci + 1] as usize]
     }
 
     /// The shared layout pass: sorts each row by member id and packs
@@ -834,37 +1010,36 @@ impl DispatchIndex {
         let class_count = rows.len();
         let mut pool = PoolBuilder::new();
         let mut row_starts = Vec::with_capacity(class_count + 1);
-        let mut pairs = Vec::new();
+        let mut members = Vec::new();
         let mut entries = Vec::new();
         row_starts.push(0u32);
         for mut row in rows {
             row.sort_unstable_by_key(|&(m, _)| m);
             for (m, e) in &row {
-                let slot = entries.len() as u32;
+                members.push(*m);
                 entries.push(pool.pack(e));
-                pairs.push(IndexPair { member: *m, slot });
             }
-            row_starts.push(u32::try_from(pairs.len()).expect("dispatch index overflow"));
+            row_starts.push(u32::try_from(members.len()).expect("dispatch index overflow"));
         }
-        let directory = Self::build_directory(init, &row_starts, &pairs, &entries);
+        let directory = Self::build_directory(init, &row_starts, &members, &entries);
         DispatchIndex {
             class_count,
             member_count,
             row_starts,
-            pairs,
+            members,
             directory,
             entries,
             pool: pool.pool,
         }
     }
 
-    /// The packed key and pre-decoded cell of one CSR pair.
+    /// The pre-decoded directory cell of one `(class, member)` entry,
+    /// keyed by its packed probe key.
     #[inline]
-    fn cell_of(class: usize, pair: &IndexPair, entries: &[PackedEntry]) -> (u64, Cell) {
-        let key = class as u64 | u64::from(pair.member) << 32;
+    fn cell_of(class: usize, member: u32, e: &PackedEntry) -> Cell {
+        let key = class as u64 | u64::from(member) << 32;
         debug_assert_ne!(key, Cell::VACANT, "probe key collides with sentinel");
-        let e = &entries[pair.slot as usize];
-        let cell = if e.flags & FLAG_BLUE != 0 {
+        if e.flags & FLAG_BLUE != 0 {
             debug_assert_eq!(e.set_len & BLUE_BIT, 0, "witness count overflow");
             Cell {
                 key,
@@ -878,8 +1053,7 @@ impl DispatchIndex {
                 a: e.ldc,
                 b: e.lv,
             }
-        };
-        (key, cell)
+        }
     }
 
     /// Builds the global probe directory from the finished CSR rows,
@@ -893,39 +1067,34 @@ impl DispatchIndex {
     ///   snapshot load path) — no displacement search at load time.
     /// * `Build(Open)` fills a power-of-two table at load ≤ 0.6 by
     ///   linear probing — the pre-MPH directory, kept as the fallback.
+    ///
+    /// `mph_build_seconds` is observed only when a hash is actually
+    /// constructed, not when a prebuilt one is placed.
     fn build_directory(
         init: DirectoryInit,
         row_starts: &[u32],
-        pairs: &[IndexPair],
+        members: &[u32],
         entries: &[PackedEntry],
     ) -> Directory {
-        let start = Instant::now();
         let class_count = row_starts.len() - 1;
-        let mut packed: Vec<(u64, Cell)> = Vec::with_capacity(pairs.len());
+        let mut packed: Vec<Cell> = Vec::with_capacity(members.len());
         for ci in 0..class_count {
-            let (lo, hi) = (row_starts[ci] as usize, row_starts[ci + 1] as usize);
-            for pair in &pairs[lo..hi] {
-                packed.push(Self::cell_of(ci, pair, entries));
+            for i in row_starts[ci] as usize..row_starts[ci + 1] as usize {
+                packed.push(Self::cell_of(ci, members[i], &entries[i]));
             }
         }
+        let mut mph_build_ns = None;
+        let mut compile = |packed: &[Cell]| {
+            let start = Instant::now();
+            let keys: Vec<u64> = packed.iter().map(|cell| cell.key).collect();
+            let directory = Self::place_mph(MphFunction::build(&keys), packed)
+                .expect("freshly built mph collided on its own key set");
+            mph_build_ns = Some(elapsed_ns(start));
+            directory
+        };
         let directory = match init {
-            DirectoryInit::Build(DirectoryKind::Open) => {
-                let mut cells = CellArena::vacant(directory_cap(packed.len()));
-                let mask = cells.len() - 1;
-                for &(key, cell) in &packed {
-                    let mut at = hash_key(key) & mask;
-                    while cells.get(at).key != Cell::VACANT {
-                        at = (at + 1) & mask;
-                    }
-                    cells.set(at, cell);
-                }
-                Directory::Open(cells)
-            }
-            DirectoryInit::Build(DirectoryKind::Mph) => {
-                let keys: Vec<u64> = packed.iter().map(|&(key, _)| key).collect();
-                Self::place_mph(MphFunction::build(&keys), &packed)
-                    .expect("freshly built mph collided on its own key set")
-            }
+            DirectoryInit::Build(DirectoryKind::Open) => Directory::Open(OpenCells::build(&packed)),
+            DirectoryInit::Build(DirectoryKind::Mph) => compile(&packed),
             DirectoryInit::Prebuilt(mph) => {
                 // A hash that cannot cover this key set — wrong count,
                 // or a displacement array that maps two live keys to
@@ -937,34 +1106,30 @@ impl DispatchIndex {
                 let placed = (mph.n() as usize == packed.len())
                     .then(|| Self::place_mph(mph, &packed))
                     .flatten();
-                placed.unwrap_or_else(|| {
-                    let keys: Vec<u64> = packed.iter().map(|&(key, _)| key).collect();
-                    Self::place_mph(MphFunction::build(&keys), &packed)
-                        .expect("freshly built mph collided on its own key set")
-                })
+                placed.unwrap_or_else(|| compile(&packed))
             }
         };
-        crate::obs::directory_built(
-            directory.kind().label(),
-            packed.len() as u64,
-            matches!(directory, Directory::Mph { .. }).then(|| elapsed_ns(start)),
-        );
+        crate::obs::directory_built(directory.kind().label(), packed.len() as u64, mph_build_ns);
         directory
     }
 
-    /// Places every cell at its minimal-perfect-hash slot; `None` if
-    /// two keys land on one slot (the hash does not cover this key
-    /// set — possible only for a deserialized hash).
-    fn place_mph(mph: MphFunction, packed: &[(u64, Cell)]) -> Option<Directory> {
+    /// Places every cell at its minimal-perfect-hash slot, with an
+    /// empty spill; `None` if two keys land on one slot (the hash does
+    /// not cover this key set — possible only for a deserialized hash).
+    fn place_mph(mph: MphFunction, packed: &[Cell]) -> Option<Directory> {
         let mut cells = CellArena::vacant(mph.n() as usize);
-        for &(key, cell) in packed {
-            let at = mph.position(key);
+        for &cell in packed {
+            let at = mph.position(cell.key);
             if cells.get(at).key != Cell::VACANT {
                 return None;
             }
             cells.set(at, cell);
         }
-        Some(Directory::Mph { mph, cells })
+        Some(Directory::Mph {
+            mph,
+            cells,
+            spill: OpenCells::empty(),
+        })
     }
 
     /// The directory cell behind `(c, m)`, if any — the hot probe
@@ -1009,11 +1174,11 @@ impl DispatchIndex {
         if ci >= self.class_count {
             return None;
         }
-        let row = &self.pairs[self.row_starts[ci] as usize..self.row_starts[ci + 1] as usize];
         let target = u32::try_from(m.index()).ok()?;
-        row.binary_search_by(|p| p.member.cmp(&target))
+        self.row(ci)
+            .binary_search(&target)
             .ok()
-            .map(|i| &self.entries[row[i].slot as usize])
+            .map(|i| &self.entries[self.row_starts[ci] as usize + i])
     }
 
     /// `lookup(c, m)` without a single allocation: ambiguity witnesses
@@ -1050,7 +1215,8 @@ impl DispatchIndex {
     /// overlap instead of serializing, then decoded. A probe outside
     /// the class/member id range packs to the vacant sentinel key,
     /// which no occupied cell carries, and falls out as `NotFound`
-    /// through the same key compare as any dead key.
+    /// through the same key compare as any dead key. A probe whose cell
+    /// holds another key reads the spill, while there is one.
     pub fn lookup_batch_into<'a>(
         &'a self,
         probes: &[(ClassId, MemberId)],
@@ -1060,7 +1226,7 @@ impl DispatchIndex {
         out.clear();
         out.reserve(probes.len());
         match &self.directory {
-            Directory::Mph { mph, cells } if cells.len() > 0 => {
+            Directory::Mph { mph, cells, spill } if cells.len() > 0 => {
                 let mut keys = [0u64; 8];
                 let mut slots = [0usize; 8];
                 let mut hit = [Cell::EMPTY; 8];
@@ -1082,7 +1248,10 @@ impl DispatchIndex {
                         out.push(if hit[i].key == keys[i] {
                             self.decode(&hit[i])
                         } else {
-                            OutcomeRef::NotFound
+                            match spill.spill_get(keys[i]) {
+                                Some(cell) => self.decode(cell),
+                                None => OutcomeRef::NotFound,
+                            }
                         });
                     }
                 }
@@ -1145,9 +1314,9 @@ impl DispatchIndex {
         } else {
             (0, 0)
         };
-        self.pairs[lo..hi]
+        self.members[lo..hi]
             .iter()
-            .map(|p| MemberId::from_index(p.member as usize))
+            .map(|&m| MemberId::from_index(m as usize))
     }
 
     /// Number of classes the index covers.
@@ -1162,7 +1331,7 @@ impl DispatchIndex {
 
     /// Total `(class, member)` entries.
     pub fn entry_count(&self) -> usize {
-        self.pairs.len()
+        self.members.len()
     }
 
     /// Which probe directory this index carries — MPH for everything
@@ -1173,28 +1342,36 @@ impl DispatchIndex {
         self.directory.kind()
     }
 
+    /// Keys served from the minimal-perfect-hash directory's spill:
+    /// those [`refreshed`](Self::refreshed) added since the hash was
+    /// last built. Always 0 on a freshly built index and on the open
+    /// directory, which has no separate spill.
+    pub fn spilled_keys(&self) -> usize {
+        self.directory.spill_len()
+    }
+
     /// This index repacked onto the other probe directory — the CSR
     /// rows, entry arena, and pool are shared verbatim (cloned), only
-    /// the directory is rebuilt. Differential tests and the e22 smoke
-    /// gate use it to exercise the open fallback against the same data
-    /// the MPH path serves.
+    /// the directory is rebuilt (with any spill folded in).
+    /// Differential tests and the e22 smoke gate use it to exercise the
+    /// open fallback against the same data the MPH path serves.
     pub fn with_directory_kind(&self, kind: DirectoryKind) -> Self {
         let mut out = self.clone();
         out.directory = Self::build_directory(
             DirectoryInit::Build(kind),
             &out.row_starts,
-            &out.pairs,
+            &out.members,
             &out.entries,
         );
         out
     }
 
-    /// Bytes of flat storage: row starts + pairs + probe directory
-    /// (cells in their 64-byte blocks, plus hash metadata) + entry
-    /// arena + pool.
+    /// Bytes of flat storage: row starts + members + probe directory
+    /// (cells in their 64-byte blocks, plus hash metadata and spill) +
+    /// entry arena + pool.
     pub fn size_bytes(&self) -> usize {
         self.row_starts.len() * 4
-            + self.pairs.len() * 8
+            + self.members.len() * 4
             + self.directory.bytes()
             + self.entries.len() * 24
             + self.pool.len() * 4
@@ -1202,12 +1379,18 @@ impl DispatchIndex {
 
     /// Flat bytes per entry — the density figure `stats` reports.
     pub fn bytes_per_entry(&self) -> f64 {
-        if self.pairs.is_empty() {
+        if self.members.is_empty() {
             0.0
         } else {
-            self.size_bytes() as f64 / self.pairs.len() as f64
+            self.size_bytes() as f64 / self.members.len() as f64
         }
     }
+}
+
+/// Whether sorted `new` contains every id of sorted `old`.
+fn covers(new: &[u32], old: &[u32]) -> bool {
+    let mut rest = new.iter();
+    old.iter().all(|m| rest.any(|n| n == m))
 }
 
 impl MemberLookup for DispatchIndex {
@@ -1455,8 +1638,7 @@ impl IndexedEngine {
     ///
     /// Any [`ChgError`] of [`LookupEngine::apply`].
     pub fn apply(&mut self, edits: &[Edit]) -> Result<u64, ChgError> {
-        self.engine.apply(edits)?;
-        let dirty = crate::engine::dirty_set(self.engine.chg(), edits);
+        let dirty = self.engine.apply_dirty(edits)?;
         let refreshed = self.handle.load().index.refreshed(&self.engine, &dirty);
         Ok(self.handle.publish(refreshed))
     }
@@ -1623,6 +1805,123 @@ mod tests {
         assert_eq!(
             mph.refreshed(&engine, &[]).directory_kind(),
             DirectoryKind::Mph
+        );
+    }
+
+    #[test]
+    fn open_cells_upsert_overwrites_and_regrows() {
+        let cell = |key: u64, a: u32| Cell { key, a, b: 0 };
+        let mut table = OpenCells::empty();
+        assert_eq!(table.spill_get(7), None);
+        for k in 0..1000u64 {
+            table.upsert(cell(k << 32 | k, 1));
+            assert!(table.live * 5 / 3 < table.cells.len(), "load above 0.6");
+        }
+        table.upsert(cell(5 << 32 | 5, 2));
+        assert_eq!(table.live, 1000);
+        for k in 0..1000u64 {
+            let want = if k == 5 { 2 } else { 1 };
+            assert_eq!(table.get(k << 32 | k).map(|c| c.a), Some(want));
+        }
+        assert_eq!(table.spill_get(1000 << 32), None);
+        assert_eq!(table.spill_get(Cell::VACANT), None);
+    }
+
+    #[test]
+    fn refresh_rebuilds_the_directory_when_a_key_disappears() {
+        // No edit removes a key, so refresh an index of a graph with one
+        // more member against an engine without it.
+        let g = fixtures::fig2();
+        let leaf = g.classes().find(|&c| g.derived_of(c).count() == 0).unwrap();
+        let grown = cpplookup_chg::apply_edits(
+            &g,
+            &[Edit::AddMember {
+                class: leaf,
+                name: "gone".into(),
+                decl: MemberDecl::public(MemberKind::Function),
+            }],
+        )
+        .unwrap();
+        let gone = grown.member_by_name("gone").unwrap();
+        for kind in [DirectoryKind::Mph, DirectoryKind::Open] {
+            let old = DispatchIndex::from_engine(&LookupEngine::new(grown.clone()))
+                .with_directory_kind(kind);
+            assert!(old.lookup_ref(leaf, gone).is_resolved());
+            let engine = LookupEngine::new(g.clone());
+            let fresh = old.refreshed(&engine, &[(leaf, gone)]);
+            assert_eq!(fresh.directory_kind(), kind);
+            assert_eq!(fresh.lookup_ref(leaf, gone), OutcomeRef::NotFound);
+            assert_eq!(fresh.entry_count(), old.entry_count() - 1);
+            for c in g.classes() {
+                for m in g.member_ids() {
+                    assert_eq!(fresh.lookup_ref(c, m), old.lookup_ref(c, m));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn refresh_spills_new_keys_and_overwrites_covered_ones() {
+        // A chain K0 <- K1 <- K2 <- K3, eight members declared per
+        // class: 80 entries, so the spill may hold 10 keys.
+        let mut b = cpplookup_chg::ChgBuilder::new();
+        let chain: Vec<ClassId> = (0..4).map(|i| b.class(&format!("K{i}"))).collect();
+        for (i, &class) in chain.iter().enumerate() {
+            for j in 0..8 {
+                b.member_with(
+                    class,
+                    &format!("f{i}_{j}"),
+                    MemberDecl::public(MemberKind::Data),
+                )
+                .unwrap();
+            }
+            if i > 0 {
+                b.derive(class, chain[i - 1], Inheritance::NonVirtual)
+                    .unwrap();
+            }
+        }
+        let mut serving = IndexedEngine::new(LookupEngine::new(b.finish().unwrap()));
+        let before = serving.handle().load().index().entry_count();
+        assert_eq!(before, 80);
+        let member = |class: ClassId, name: &str| Edit::AddMember {
+            class,
+            name: name.into(),
+            decl: MemberDecl::public(MemberKind::Function),
+        };
+        // A new key lands in the spill; the batch stripe finds it there.
+        serving.apply(&[member(chain[3], "spilled")]).unwrap();
+        let m = serving.engine().chg().member_by_name("spilled").unwrap();
+        let index = serving.handle().load();
+        let index = index.index();
+        assert_eq!(index.entry_count(), before + 1);
+        assert_eq!(index.spilled_keys(), 1);
+        assert_eq!(
+            index.lookup_ref(chain[3], m).resolved_class(),
+            Some(chain[3])
+        );
+        let mut out = Vec::new();
+        index.lookup_batch_into(&[(chain[3], m)], &mut out);
+        assert_eq!(out[0].resolved_class(), Some(chain[3]));
+        // Hiding an inherited member changes covered keys only: their
+        // cells are overwritten in place and the spill does not grow.
+        serving.apply(&[member(chain[2], "f0_0")]).unwrap();
+        let f = serving.engine().chg().member_by_name("f0_0").unwrap();
+        let index = serving.handle().load();
+        let index = index.index();
+        assert_eq!(index.spilled_keys(), 1);
+        for &c in &chain[2..] {
+            assert_eq!(index.lookup_ref(c, f).resolved_class(), Some(chain[2]));
+        }
+        assert_eq!(
+            index.lookup_ref(chain[1], f).resolved_class(),
+            Some(chain[0])
+        );
+        // Repacking folds the spill into a fresh hash.
+        let repacked = index.with_directory_kind(DirectoryKind::Mph);
+        assert_eq!(repacked.spilled_keys(), 0);
+        assert_eq!(
+            repacked.lookup_ref(chain[3], m),
+            index.lookup_ref(chain[3], m)
         );
     }
 

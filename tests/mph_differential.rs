@@ -4,9 +4,15 @@
 //! replaced — same `OutcomeRef` for every live `(class, member)` pair,
 //! same `NotFound` for every dead key — across the full generator
 //! corpus, both statics rules, and proptest-fuzzed probe streams that
-//! deliberately stray outside the live id ranges.
+//! deliberately stray outside the live id ranges. Edited indexes are
+//! checked too: a directory patched edit by edit (cells overwritten in
+//! place, new keys spilled, the spill folded into a rebuilt hash) must
+//! answer exactly what a table built from scratch answers.
 
-use cpplookup::hiergen::{families, random_hierarchy, RandomConfig};
+use std::sync::Arc;
+
+use cpplookup::hiergen::{edit_script, families, random_hierarchy, EditScriptConfig, RandomConfig};
+use cpplookup::lookup::PublishedIndex;
 use cpplookup::prelude::*;
 use proptest::prelude::*;
 
@@ -125,4 +131,132 @@ proptest! {
             }
         }
     }
+}
+
+/// Rows an edit can change, from the post-edit hierarchy: the edited
+/// class and every class derived from it. A new class lies beyond the
+/// old row count, which a refresh always re-probes.
+fn touched_rows(chg: &Chg, edit: &Edit) -> Vec<(ClassId, MemberId)> {
+    let root = match edit {
+        Edit::AddClass { .. } => return Vec::new(),
+        Edit::AddMember { class, .. } => *class,
+        Edit::AddEdge { derived, .. } => *derived,
+    };
+    std::iter::once(root)
+        .chain(chg.derived_of(root))
+        .map(|c| (c, MemberId::from_index(0)))
+        .collect()
+}
+
+/// Every `(class, member)` pair of `chg` plus two dead ids past each
+/// range, and one probe far out of range on both axes.
+fn all_probes(chg: &Chg) -> Vec<(ClassId, MemberId)> {
+    let mut probes: Vec<_> = (0..chg.class_count() + 2)
+        .flat_map(|c| {
+            (0..chg.member_name_count() + 2)
+                .map(move |m| (ClassId::from_index(c), MemberId::from_index(m)))
+        })
+        .collect();
+    probes.push((
+        ClassId::from_index(u32::MAX as usize),
+        MemberId::from_index(u32::MAX as usize),
+    ));
+    probes
+}
+
+/// Asserts that `index` answers every probe of `probes` — through
+/// `lookup_ref`, `entry`, and `lookup_batch_into` at odd stripe
+/// lengths — as `table` (built over `chg`) does.
+fn assert_serves_table(
+    label: &str,
+    index: &DispatchIndex,
+    chg: &Chg,
+    table: &LookupTable,
+    probes: &[(ClassId, MemberId)],
+) {
+    let live = |c: ClassId, m: MemberId| {
+        c.index() < chg.class_count() && m.index() < chg.member_name_count()
+    };
+    let expected: Vec<LookupOutcome> = probes
+        .iter()
+        .map(|&(c, m)| {
+            if live(c, m) {
+                table.lookup(c, m)
+            } else {
+                LookupOutcome::NotFound
+            }
+        })
+        .collect();
+    for (i, &(c, m)) in probes.iter().enumerate() {
+        assert_eq!(
+            index.lookup_ref(c, m).to_outcome(),
+            expected[i],
+            "{label}: lookup_ref ({}, {})",
+            c.index(),
+            m.index()
+        );
+        let entry = live(c, m).then(|| table.entry(c, m).cloned()).flatten();
+        assert_eq!(
+            index.entry(c, m),
+            entry,
+            "{label}: entry ({}, {})",
+            c.index(),
+            m.index()
+        );
+    }
+    let mut out = Vec::new();
+    for stride in [7, 13] {
+        for (chunk, want) in probes.chunks(stride).zip(expected.chunks(stride)) {
+            index.lookup_batch_into(chunk, &mut out);
+            let got: Vec<LookupOutcome> = out.iter().map(|o| o.to_outcome()).collect();
+            assert_eq!(got, want, "{label}: lookup_batch_into stride {stride}");
+        }
+    }
+}
+
+/// An edit script over a realistic family, long enough that the MPH
+/// directory's spill crosses its fold bound at least once, replayed on
+/// both directory kinds: the MPH kind through `IndexedEngine`, the open
+/// kind through `DispatchIndex::refreshed`. After every edit both must
+/// serve what `LookupTable::build` of the same hierarchy serves, and an
+/// `Arc` pinned at an earlier epoch must keep answering that epoch.
+#[test]
+fn patched_directories_match_a_rebuilt_table_across_an_edit_script() {
+    let (base, edits) = edit_script(&EditScriptConfig::realistic(40, 80, 3));
+    let mut serving = IndexedEngine::new(LookupEngine::new(base.clone()));
+    let handle = serving.handle();
+    let mut engine = LookupEngine::new(base);
+    let mut open = DispatchIndex::from_engine(&engine).with_directory_kind(DirectoryKind::Open);
+    let mut pinned: Option<(Arc<PublishedIndex>, Chg, LookupTable)> = None;
+    let (mut spilled_max, mut folds) = (0, 0);
+    for (i, edit) in edits.iter().enumerate() {
+        let spilled_before = handle.load().index().spilled_keys();
+        serving.apply(std::slice::from_ref(edit)).unwrap();
+        engine.apply(std::slice::from_ref(edit)).unwrap();
+        open = open.refreshed(&engine, &touched_rows(engine.chg(), edit));
+        assert_eq!(open.directory_kind(), DirectoryKind::Open);
+
+        let current = handle.load();
+        let index = current.index();
+        assert_eq!(index.directory_kind(), DirectoryKind::Mph);
+        let spilled = index.spilled_keys();
+        spilled_max = spilled_max.max(spilled);
+        if spilled < spilled_before {
+            folds += 1;
+        }
+        let chg = serving.engine().chg();
+        let table = LookupTable::build(chg);
+        let probes = all_probes(chg);
+        assert_serves_table(&format!("mph, edit {i}"), index, chg, &table, &probes);
+        assert_serves_table(&format!("open, edit {i}"), &open, chg, &table, &probes);
+        if pinned.is_none() && spilled > 0 {
+            pinned = Some((current.clone(), chg.clone(), table));
+        }
+    }
+    assert!(spilled_max > 0, "no edit spilled a key");
+    assert!(folds > 0, "the script never crossed the fold bound");
+    let (old, chg, table) = pinned.expect("an epoch with a spill was pinned");
+    assert!(old.epoch() < handle.epoch());
+    assert!(old.index().spilled_keys() > 0);
+    assert_serves_table("pinned epoch", old.index(), &chg, &table, &all_probes(&chg));
 }

@@ -221,3 +221,69 @@ fn eager_engines_never_miss_after_edits() {
     let (_, misses) = sweep(&engine);
     assert_eq!(misses, 0);
 }
+
+/// `mph_build_seconds` observes hash constructions only: placing a v2
+/// snapshot's serialized hash and patching a directory on edit run
+/// none, and an edit that overflows the directory's spill folds it
+/// into exactly one new hash. The histogram is process-global, so the
+/// test works in deltas under the build lock.
+#[test]
+fn mph_build_seconds_counts_only_hash_constructions() {
+    if !cfg!(feature = "obs") {
+        return; // the global registry compiles away without obs
+    }
+    let _serial = BUILD_LOCK.lock().unwrap();
+    let builds = || {
+        obs::global()
+            .histogram(
+                "mph_build_seconds",
+                "",
+                cpplookup::obs::Histogram::latency_ns(),
+            )
+            .snapshot()
+            .count
+    };
+    let chg = random_hierarchy(&RandomConfig::realistic(120, 42));
+
+    // Promoting a v2 snapshot places the hash it ships.
+    let bytes = Snapshot::compile(&chg).into_bytes();
+    let before = builds();
+    let index = SnapshotTable::from_bytes(bytes).unwrap().dispatch_index();
+    assert_eq!(index.directory_kind(), DirectoryKind::Mph);
+    assert_eq!(builds() - before, 0, "snapshot promotion built a hash");
+
+    // Edits whose new keys fit the spill patch the directory.
+    let mut serving = IndexedEngine::new(LookupEngine::new(chg));
+    let n = serving.handle().load().index().entry_count();
+    let (leaf, root) = {
+        let chg = serving.engine().chg();
+        let derived = |c: ClassId| chg.derived_of(c).count();
+        let leaf = chg.classes().find(|&c| derived(c) == 0).unwrap();
+        (leaf, chg.classes().max_by_key(|&c| derived(c)).unwrap())
+    };
+    let member = |class: ClassId, name: String| Edit::AddMember {
+        class,
+        name,
+        decl: MemberDecl::public(MemberKind::Function),
+    };
+    let before = builds();
+    serving.apply(&[member(leaf, "leaf_probe".into())]).unwrap();
+    serving
+        .apply(&[Edit::AddClass {
+            name: "Fresh".into(),
+        }])
+        .unwrap();
+    assert_eq!(serving.handle().load().index().spilled_keys(), 1);
+    assert_eq!(builds() - before, 0, "non-folding edits built a hash");
+
+    // One transaction adding more keys than the spill may hold folds
+    // it into a single rebuilt hash.
+    let per_member = 1 + serving.engine().chg().derived_of(root).count();
+    let batch: Vec<Edit> = (0..n / 8 / per_member + 1)
+        .map(|i| member(root, format!("fold_probe_{i}")))
+        .collect();
+    let before = builds();
+    serving.apply(&batch).unwrap();
+    assert_eq!(serving.handle().load().index().spilled_keys(), 0);
+    assert_eq!(builds() - before, 1, "a fold builds exactly one hash");
+}

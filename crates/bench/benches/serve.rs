@@ -37,7 +37,7 @@ fn bench_family(c: &mut Criterion, name: &str, chg: &Chg) {
     let table = LookupTable::build(chg);
     let snap =
         SnapshotTable::from_bytes(Snapshot::compile(chg).into_bytes()).expect("snapshot loads");
-    let index = DispatchIndex::from_table(LookupTable::build(chg));
+    let index = DispatchIndex::from_backend(LookupTable::build(chg));
     let probes = probes(chg, &table);
 
     let mut group = c.benchmark_group("serve");
@@ -74,10 +74,10 @@ fn bench_family(c: &mut Criterion, name: &str, chg: &Chg) {
     let mut build = c.benchmark_group("serve_build");
     build.sample_size(10);
     build.bench_with_input(BenchmarkId::new("from_table", name), &(), |b, ()| {
-        b.iter(|| DispatchIndex::from_table(LookupTable::build(chg)).entry_count())
+        b.iter(|| DispatchIndex::from_backend(LookupTable::build(chg)).entry_count())
     });
     build.bench_with_input(BenchmarkId::new("from_snapshot", name), &(), |b, ()| {
-        b.iter(|| snap.dispatch_index().entry_count())
+        b.iter(|| DispatchIndex::from_backend(&snap).entry_count())
     });
     build.finish();
 }

@@ -813,26 +813,11 @@ fn e18(w: &mut dyn Write) -> io::Result<()> {
 /// E19 — observability overhead: cache-hit query cost on the
 /// instrumented engine with no event sink, a counting sink, and a
 /// buffering sink installed.
-///
-/// The cross-feature comparison (building the whole harness with
-/// `--no-default-features` and rerunning the `single_lookup` bench) is
-/// recorded in `EXPERIMENTS.md`; this experiment measures what a single
-/// binary can: how much the *optional* machinery costs once the `obs`
-/// feature is compiled in.
 fn e19(w: &mut dyn Write) -> io::Result<()> {
     use cpplookup_core::obs;
     use std::sync::Arc;
 
     writeln!(w, "E19: observability overhead on the query hot path")?;
-    writeln!(
-        w,
-        "  obs feature: {}",
-        if cfg!(feature = "obs") {
-            "enabled"
-        } else {
-            "disabled (counters still served; shard/latency/event extras compiled out)"
-        }
-    )?;
     let wl = workloads::realistic(2000, 7);
     let engine = LookupEngine::new(wl.chg.clone());
     let queries: Vec<_> = wl
@@ -1312,7 +1297,7 @@ fn e22(w: &mut dyn Write) -> io::Result<()> {
         let table = LookupTable::build(chg);
         let snap = SnapshotTable::from_bytes(Snapshot::compile(chg).into_bytes())
             .expect("snapshot roundtrip");
-        let index = DispatchIndex::from_table(LookupTable::build(chg))
+        let index = DispatchIndex::from_backend(LookupTable::build(chg))
             .with_directory_kind(DirectoryKind::Open);
         let probes = serve_probes(chg, &table, 0x9E37 ^ name.len() as u64);
         let reps = (2_000_000 / probes.len()).max(1);
@@ -1473,7 +1458,7 @@ fn e22_smoke(w: &mut dyn Write) -> io::Result<()> {
     )?;
     let diff = families::interface_heavy(200, 4);
     let diff_table = LookupTable::build(&diff);
-    let diff_index = DispatchIndex::from_table(LookupTable::build(&diff))
+    let diff_index = DispatchIndex::from_backend(LookupTable::build(&diff))
         .with_directory_kind(DirectoryKind::Open);
     for c in diff.classes() {
         for m in diff.member_ids() {
@@ -1494,7 +1479,7 @@ fn e22_smoke(w: &mut dyn Write) -> io::Result<()> {
     )?;
     let chg = families::grid(50, 50);
     let table = LookupTable::build(&chg);
-    let index = DispatchIndex::from_table(LookupTable::build(&chg))
+    let index = DispatchIndex::from_backend(LookupTable::build(&chg))
         .with_directory_kind(DirectoryKind::Open);
     let probes = serve_probes(&chg, &table, 0xE22);
     let reps = (1_000_000 / probes.len()).max(1);
@@ -2769,7 +2754,7 @@ fn e26(w: &mut dyn Write) -> io::Result<()> {
     let mut serve_ratios: Vec<f64> = Vec::new();
     for (name, chg) in &families {
         let table = LookupTable::build(chg);
-        let mph = DispatchIndex::from_table(LookupTable::build(chg));
+        let mph = DispatchIndex::from_backend(LookupTable::build(chg));
         let open = mph.with_directory_kind(DirectoryKind::Open);
         let probes = serve_probes(chg, &table, 0xE26 ^ name.len() as u64);
         let reps = (2_000_000 / probes.len()).max(1);
@@ -2863,7 +2848,7 @@ fn e26(w: &mut dyn Write) -> io::Result<()> {
     // Thread scaling on the largest family, MPH directory.
     let (scale_name, scale_chg) = families.last().expect("families nonempty");
     let table = LookupTable::build(scale_chg);
-    let mph = DispatchIndex::from_table(LookupTable::build(scale_chg));
+    let mph = DispatchIndex::from_backend(LookupTable::build(scale_chg));
     let probes = serve_probes(scale_chg, &table, 0xE26);
     let mt_reps = (500_000 / probes.len()).max(1);
     writeln!(
@@ -2944,9 +2929,9 @@ fn e26_smoke(w: &mut dyn Write) -> io::Result<()> {
 
     writeln!(w, "E26-smoke: mph/open differential + mph perf floor")?;
     let diff = families::interface_heavy(200, 4);
-    let mph = DispatchIndex::from_table(LookupTable::build(&diff));
+    let mph = DispatchIndex::from_backend(LookupTable::build(&diff));
     if mph.directory_kind() != DirectoryKind::Mph {
-        return Err(io::Error::other("from_table no longer defaults to mph"));
+        return Err(io::Error::other("table index no longer defaults to mph"));
     }
     let open = mph.with_directory_kind(DirectoryKind::Open);
     // Live pairs and a margin of dead ids beyond both ranges: an alien
@@ -2985,7 +2970,7 @@ fn e26_smoke(w: &mut dyn Write) -> io::Result<()> {
     )?;
     let chg = families::grid(50, 50);
     let table = LookupTable::build(&chg);
-    let mph = DispatchIndex::from_table(LookupTable::build(&chg));
+    let mph = DispatchIndex::from_backend(LookupTable::build(&chg));
     let open = mph.with_directory_kind(DirectoryKind::Open);
     let probes = serve_probes(&chg, &table, 0xE26);
     let reps = (1_000_000 / probes.len()).max(1);

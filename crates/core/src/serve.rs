@@ -64,13 +64,13 @@
 //!
 //! Three construction paths feed it:
 //!
-//! * [`DispatchIndex::from_table`] — one pass over
-//!   `LookupTable::into_entries`, no entry clones;
+//! * [`DispatchIndex::from_backend`] on a [`LookupTable`] — one pass
+//!   over `LookupTable::into_entries`, no entry clones;
 //! * [`DispatchIndex::from_entries`] — any `(class, member, entry)`
-//!   stream; `SnapshotTable::dispatch_index` uses it to decode each
-//!   varint payload exactly once at load, then never again;
-//! * [`DispatchIndex::from_engine`] / [`DispatchIndex::refreshed`] —
-//!   (re)packs the engine's memo; after
+//!   stream; `&SnapshotTable`'s [`IntoDispatchIndex`] impl uses it to
+//!   decode each varint payload exactly once at load, then never again;
+//! * [`DispatchIndex::from_backend`] on a `&LookupEngine` /
+//!   [`DispatchIndex::refreshed`] — (re)packs the engine's memo; after
 //!   [`LookupEngine::apply`](crate::LookupEngine::apply) only the dirty
 //!   classes are re-probed, clean rows and their pool ranges are copied
 //!   verbatim, and the directory is patched rather than rebuilt: cells
@@ -116,13 +116,11 @@ pub use crate::dispatch::{
 /// construction surface behind [`DispatchIndex::from_backend`] and
 /// [`ServeHandle::publish_backend`].
 ///
-/// Before this trait existed every backend grew its own ad-hoc entry
-/// point (`DispatchIndex::from_table`, `DispatchIndex::from_engine`,
-/// `SnapshotTable::dispatch_index`), and every caller — the CLI, the
-/// server, the benches — had to know which one to reach for. Now any
-/// code that serves lookups takes `impl IntoDispatchIndex` and lets the
-/// backend describe itself; the old constructors remain as thin
-/// documented delegates.
+/// Each impl *is* its backend's packing code, so
+/// [`DispatchIndex::from_backend`] is the one constructor every caller
+/// — the CLI, the server, the benches — reaches for: code that serves
+/// lookups takes `impl IntoDispatchIndex` and lets the backend describe
+/// itself.
 ///
 /// Implementors in this workspace:
 ///
@@ -143,23 +141,68 @@ pub trait IntoDispatchIndex {
     fn into_dispatch_index(self) -> DispatchIndex;
 }
 
+/// One pass over the consumed table's per-class entry maps, moving
+/// every entry instead of cloning.
 impl IntoDispatchIndex for LookupTable {
     fn backend_label(&self) -> &'static str {
         "table"
     }
 
     fn into_dispatch_index(self) -> DispatchIndex {
-        DispatchIndex::from_table(self)
+        let start = Instant::now();
+        let mut member_count = 0usize;
+        let rows: Vec<Vec<(u32, Entry)>> = self
+            .into_entries()
+            .into_iter()
+            .map(|class_tbl| {
+                class_tbl
+                    .into_iter()
+                    .map(|(m, e)| {
+                        member_count = member_count.max(m.index() + 1);
+                        (m.index() as u32, e)
+                    })
+                    .collect()
+            })
+            .collect();
+        let index = DispatchIndex::from_rows(member_count, rows);
+        crate::obs::index_built(
+            "table",
+            index.entry_count() as u64,
+            index.size_bytes() as u64,
+            elapsed_ns(start),
+        );
+        index
     }
 }
 
+/// Packs the engine's memo: every `(class, member)` pair is probed once
+/// through [`LookupEngine::entry`] (memo hits under complete backings;
+/// the lazy backing computes missing columns on demand, so the result
+/// always covers the full table).
 impl IntoDispatchIndex for &LookupEngine {
     fn backend_label(&self) -> &'static str {
         "engine"
     }
 
     fn into_dispatch_index(self) -> DispatchIndex {
-        DispatchIndex::from_engine(self)
+        let start = Instant::now();
+        let chg = self.chg();
+        let mut rows: Vec<Vec<(u32, Entry)>> = vec![Vec::new(); chg.class_count()];
+        for c in chg.classes() {
+            for m in chg.member_ids() {
+                if let Some(e) = self.entry(c, m) {
+                    rows[c.index()].push((m.index() as u32, e));
+                }
+            }
+        }
+        let index = DispatchIndex::from_rows(chg.member_name_count(), rows);
+        crate::obs::index_built(
+            "engine",
+            index.entry_count() as u64,
+            index.size_bytes() as u64,
+            elapsed_ns(start),
+        );
+        index
     }
 }
 
@@ -720,7 +763,7 @@ impl PoolBuilder {
 /// use cpplookup_core::LookupTable;
 ///
 /// let g = fixtures::fig9();
-/// let index = DispatchIndex::from_table(LookupTable::build(&g));
+/// let index = DispatchIndex::from_backend(LookupTable::build(&g));
 /// let e = g.class_by_name("E").unwrap();
 /// let m = g.member_by_name("m").unwrap();
 /// match index.lookup_ref(e, m) {
@@ -830,67 +873,6 @@ impl DispatchIndex {
             rows[c.index()].push((m.index() as u32, e));
         }
         Self::from_rows_init(member_count, rows, init)
-    }
-
-    /// Builds the index from a consumed [`LookupTable`] — one pass over
-    /// its per-class entry maps, moving every entry instead of cloning.
-    ///
-    /// Prefer the backend-generic [`DispatchIndex::from_backend`] in new
-    /// code; this remains as the table-specific delegate behind
-    /// `LookupTable`'s [`IntoDispatchIndex`] impl.
-    pub fn from_table(table: LookupTable) -> Self {
-        let start = Instant::now();
-        let mut member_count = 0usize;
-        let rows: Vec<Vec<(u32, Entry)>> = table
-            .into_entries()
-            .into_iter()
-            .map(|class_tbl| {
-                class_tbl
-                    .into_iter()
-                    .map(|(m, e)| {
-                        member_count = member_count.max(m.index() + 1);
-                        (m.index() as u32, e)
-                    })
-                    .collect()
-            })
-            .collect();
-        let index = Self::from_rows(member_count, rows);
-        crate::obs::index_built(
-            "table",
-            index.entry_count() as u64,
-            index.size_bytes() as u64,
-            elapsed_ns(start),
-        );
-        index
-    }
-
-    /// Packs the engine's memo into an index: every `(class, member)`
-    /// pair is probed once through [`LookupEngine::entry`] (memo hits
-    /// under complete backings; the lazy backing computes missing
-    /// columns on demand, so the result always covers the full table).
-    ///
-    /// Prefer the backend-generic [`DispatchIndex::from_backend`] in new
-    /// code; this remains as the engine-specific delegate behind
-    /// `&LookupEngine`'s [`IntoDispatchIndex`] impl.
-    pub fn from_engine(engine: &LookupEngine) -> Self {
-        let start = Instant::now();
-        let chg = engine.chg();
-        let mut rows: Vec<Vec<(u32, Entry)>> = vec![Vec::new(); chg.class_count()];
-        for c in chg.classes() {
-            for m in chg.member_ids() {
-                if let Some(e) = engine.entry(c, m) {
-                    rows[c.index()].push((m.index() as u32, e));
-                }
-            }
-        }
-        let index = Self::from_rows(chg.member_name_count(), rows);
-        crate::obs::index_built(
-            "engine",
-            index.entry_count() as u64,
-            index.size_bytes() as u64,
-            elapsed_ns(start),
-        );
-        index
     }
 
     /// Incrementally refreshes this index against an engine whose
@@ -1109,7 +1091,7 @@ impl DispatchIndex {
                 placed.unwrap_or_else(|| compile(&packed))
             }
         };
-        crate::obs::directory_built(directory.kind().label(), packed.len() as u64, mph_build_ns);
+        crate::obs::directory_built(directory.kind().label(), mph_build_ns);
         directory
     }
 
@@ -1598,7 +1580,7 @@ impl IndexedEngine {
     /// Builds the initial index from the engine's memo and publishes it
     /// as epoch 0.
     pub fn new(engine: LookupEngine) -> Self {
-        let index = DispatchIndex::from_engine(&engine);
+        let index = DispatchIndex::from_backend(&engine);
         IndexedEngine {
             engine,
             handle: ServeHandle::new(index),
@@ -1670,7 +1652,7 @@ mod tests {
             for statics in [StaticRule::Cpp, StaticRule::Ignore] {
                 let options = LookupOptions { statics };
                 let table = LookupTable::build_with(&g, options);
-                let index = DispatchIndex::from_table(LookupTable::build_with(&g, options));
+                let index = DispatchIndex::from_backend(LookupTable::build_with(&g, options));
                 for c in g.classes() {
                     for m in g.member_ids() {
                         assert_eq!(
@@ -1696,9 +1678,9 @@ mod tests {
     #[test]
     fn from_engine_matches_from_table() {
         for g in graphs() {
-            let by_table = DispatchIndex::from_table(LookupTable::build(&g));
+            let by_table = DispatchIndex::from_backend(LookupTable::build(&g));
             let engine = LookupEngine::new(g.clone());
-            let by_engine = DispatchIndex::from_engine(&engine);
+            let by_engine = DispatchIndex::from_backend(&engine);
             for c in g.classes() {
                 for m in g.member_ids() {
                     assert_eq!(by_table.entry(c, m), by_engine.entry(c, m));
@@ -1712,7 +1694,7 @@ mod tests {
     fn members_of_is_sorted_and_complete() {
         let g = fixtures::fig3();
         let table = LookupTable::build(&g);
-        let index = DispatchIndex::from_table(LookupTable::build(&g));
+        let index = DispatchIndex::from_backend(LookupTable::build(&g));
         for c in g.classes() {
             let ids: Vec<MemberId> = index.members_of(c).collect();
             let mut sorted = ids.clone();
@@ -1727,7 +1709,7 @@ mod tests {
     #[test]
     fn batch_preserves_order_and_dedupes() {
         let g = fixtures::fig3();
-        let index = DispatchIndex::from_table(LookupTable::build(&g));
+        let index = DispatchIndex::from_backend(LookupTable::build(&g));
         let h = g.class_by_name("H").unwrap();
         let d = g.class_by_name("D").unwrap();
         let foo = g.member_by_name("foo").unwrap();
@@ -1744,7 +1726,7 @@ mod tests {
     #[test]
     fn default_directory_is_mph_and_open_repack_agrees_everywhere() {
         for g in graphs() {
-            let mph = DispatchIndex::from_table(LookupTable::build(&g));
+            let mph = DispatchIndex::from_backend(LookupTable::build(&g));
             assert_eq!(mph.directory_kind(), DirectoryKind::Mph);
             let open = mph.with_directory_kind(DirectoryKind::Open);
             assert_eq!(open.directory_kind(), DirectoryKind::Open);
@@ -1768,7 +1750,7 @@ mod tests {
     #[test]
     fn batch_into_matches_singles_and_reuses_the_buffer() {
         for g in graphs() {
-            let index = DispatchIndex::from_table(LookupTable::build(&g));
+            let index = DispatchIndex::from_backend(LookupTable::build(&g));
             let mut probes: Vec<(ClassId, MemberId)> = Vec::new();
             for ci in 0..g.class_count() + 2 {
                 for mi in 0..g.member_name_count() + 2 {
@@ -1798,10 +1780,10 @@ mod tests {
     fn refresh_preserves_directory_kind() {
         let g = fixtures::fig2();
         let engine = LookupEngine::new(g);
-        let open = DispatchIndex::from_engine(&engine).with_directory_kind(DirectoryKind::Open);
+        let open = DispatchIndex::from_backend(&engine).with_directory_kind(DirectoryKind::Open);
         let refreshed = open.refreshed(&engine, &[]);
         assert_eq!(refreshed.directory_kind(), DirectoryKind::Open);
-        let mph = DispatchIndex::from_engine(&engine);
+        let mph = DispatchIndex::from_backend(&engine);
         assert_eq!(
             mph.refreshed(&engine, &[]).directory_kind(),
             DirectoryKind::Mph
@@ -1844,7 +1826,7 @@ mod tests {
         .unwrap();
         let gone = grown.member_by_name("gone").unwrap();
         for kind in [DirectoryKind::Mph, DirectoryKind::Open] {
-            let old = DispatchIndex::from_engine(&LookupEngine::new(grown.clone()))
+            let old = DispatchIndex::from_backend(&LookupEngine::new(grown.clone()))
                 .with_directory_kind(kind);
             assert!(old.lookup_ref(leaf, gone).is_resolved());
             let engine = LookupEngine::new(g.clone());
@@ -1936,7 +1918,7 @@ mod tests {
         // Sibling classes inherit the same ambiguity: their witness
         // sets must intern to one pool range.
         let g = fixtures::fig1();
-        let index = DispatchIndex::from_table(LookupTable::build(&g));
+        let index = DispatchIndex::from_backend(LookupTable::build(&g));
         let blues: Vec<&PackedEntry> = index
             .entries
             .iter()
@@ -1952,7 +1934,7 @@ mod tests {
     #[test]
     fn outcome_ref_conversions() {
         let g = fixtures::fig1();
-        let index = DispatchIndex::from_table(LookupTable::build(&g));
+        let index = DispatchIndex::from_backend(LookupTable::build(&g));
         let e = g.class_by_name("E").unwrap();
         let d = g.class_by_name("D").unwrap();
         let m = g.member_by_name("m").unwrap();
@@ -1982,7 +1964,7 @@ mod tests {
     fn dynamic_target_served_from_index() {
         let g = fixtures::dominance_diamond();
         let table = LookupTable::build(&g);
-        let index = DispatchIndex::from_table(LookupTable::build(&g));
+        let index = DispatchIndex::from_backend(LookupTable::build(&g));
         let f = g.member_by_name("f").unwrap();
         for c in g.classes() {
             assert_eq!(
@@ -1997,7 +1979,7 @@ mod tests {
     #[test]
     fn member_lookup_trait_resolves_paths() {
         let g = fixtures::fig3();
-        let mut index = DispatchIndex::from_table(LookupTable::build(&g));
+        let mut index = DispatchIndex::from_backend(LookupTable::build(&g));
         let h = g.class_by_name("H").unwrap();
         let foo = g.member_by_name("foo").unwrap();
         assert_eq!(
@@ -2012,11 +1994,15 @@ mod tests {
     #[test]
     fn from_backend_matches_every_specific_constructor() {
         for g in graphs() {
-            let by_table = DispatchIndex::from_table(LookupTable::build(&g));
-            let via_table = DispatchIndex::from_backend(LookupTable::build(&g));
+            let by_table = DispatchIndex::from_backend(LookupTable::build(&g));
+            let via_table = LookupTable::build(&g).into_dispatch_index();
             let engine = LookupEngine::new(g.clone());
-            let via_engine = DispatchIndex::from_backend(&engine);
+            let via_engine = (&engine).into_dispatch_index();
             let via_identity = DispatchIndex::from_backend(by_table.clone());
+            for index in [&via_table, &via_engine, &via_identity] {
+                assert_eq!(by_table.entry_count(), index.entry_count());
+                assert_eq!(by_table.directory_kind(), index.directory_kind());
+            }
             for c in g.classes() {
                 for m in g.member_ids() {
                     assert_eq!(by_table.entry(c, m), via_table.entry(c, m));
@@ -2068,11 +2054,11 @@ mod tests {
     #[test]
     fn publish_bumps_epochs_and_readers_keep_their_version() {
         let g = fixtures::fig2();
-        let handle = ServeHandle::new(DispatchIndex::from_table(LookupTable::build(&g)));
+        let handle = ServeHandle::new(DispatchIndex::from_backend(LookupTable::build(&g)));
         let v0 = handle.load();
         assert_eq!(v0.epoch(), 0);
         assert_eq!(
-            handle.publish(DispatchIndex::from_table(LookupTable::build(&g))),
+            handle.publish(DispatchIndex::from_backend(LookupTable::build(&g))),
             1
         );
         assert_eq!(handle.epoch(), 1);
@@ -2086,9 +2072,9 @@ mod tests {
     #[test]
     fn default_retention_keeps_only_the_current_epoch() {
         let g = fixtures::fig2();
-        let handle = ServeHandle::new(DispatchIndex::from_table(LookupTable::build(&g)));
-        handle.publish(DispatchIndex::from_table(LookupTable::build(&g)));
-        handle.publish(DispatchIndex::from_table(LookupTable::build(&g)));
+        let handle = ServeHandle::new(DispatchIndex::from_backend(LookupTable::build(&g)));
+        handle.publish(DispatchIndex::from_backend(LookupTable::build(&g)));
+        handle.publish(DispatchIndex::from_backend(LookupTable::build(&g)));
         assert_eq!(handle.retained_epochs(), vec![2]);
         assert!(handle.load_at(2).is_some());
         assert!(handle.load_at(1).is_none());
@@ -2144,7 +2130,7 @@ mod tests {
         let epoch = serving.apply(&edits).unwrap();
         assert_eq!(epoch, 1);
         let refreshed = handle.load();
-        let rebuilt = DispatchIndex::from_engine(serving.engine());
+        let rebuilt = DispatchIndex::from_backend(serving.engine());
         let chg = serving.engine().chg();
         for c in chg.classes() {
             for m in chg.member_ids() {
@@ -2185,7 +2171,7 @@ mod tests {
             }])
             .unwrap();
         let index = serving.handle().load();
-        let rebuilt = DispatchIndex::from_engine(serving.engine());
+        let rebuilt = DispatchIndex::from_backend(serving.engine());
         let chg = serving.engine().chg();
         for c in chg.classes() {
             for m in chg.member_ids() {

@@ -143,12 +143,10 @@ pub(crate) struct Merge {
     /// Work counts accumulated locally and flushed to the global
     /// propagation counters in one batch by [`finish`](Merge::finish),
     /// keeping the per-abstraction cost at a plain integer increment.
-    #[cfg(feature = "obs")]
     work: MergeWork,
 }
 
 /// Local merge work tallies (reds/blues fed, demotion events).
-#[cfg(feature = "obs")]
 #[derive(Clone, Copy, Debug, Default)]
 struct MergeWork {
     reds: u32,
@@ -173,10 +171,7 @@ impl Merge {
         statics: StaticRule,
     ) {
         self.saw_red = true;
-        #[cfg(feature = "obs")]
-        {
-            self.work.reds += 1;
-        }
+        self.work.reds += 1;
         let incoming = RedCand {
             abs,
             via,
@@ -201,10 +196,7 @@ impl Merge {
             self.candidate = Some(incoming);
         } else if !cand.dominates_all(chg, incoming.lvs().collect::<Vec<_>>()) {
             // Neither dominates: everything becomes blue.
-            #[cfg(feature = "obs")]
-            {
-                self.work.demotions += 1;
-            }
+            self.work.demotions += 1;
             let all: Vec<LeastVirtual> = cand.lvs().chain(incoming.lvs()).collect();
             self.demoted.extend(all);
             // candidate stays None (the paper's `nocandidate := true`).
@@ -217,16 +209,12 @@ impl Merge {
     /// Lines 29–32: one element of a blue set arrives, already extended
     /// through the edge.
     pub(crate) fn add_blue(&mut self, lv: LeastVirtual) {
-        #[cfg(feature = "obs")]
-        {
-            self.work.blues += 1;
-        }
+        self.work.blues += 1;
         self.demoted.insert(lv);
     }
 
     /// Lines 34–44: resolve the merge into a table entry.
     pub(crate) fn finish(self, chg: &Chg) -> Entry {
-        #[cfg(feature = "obs")]
         let work = self.work;
         let entry = match self.candidate {
             None => Entry::Blue(self.demoted.into_iter().collect()),
@@ -249,7 +237,6 @@ impl Merge {
                 }
             }
         };
-        #[cfg(feature = "obs")]
         crate::obs::propagation().flush_merge(
             work.reds,
             work.blues,

@@ -24,10 +24,8 @@
 //! * [`Event`] / [`EventSink`] — structured per-query trace events
 //!   ([`MemorySink`], [`CountingSink`], [`NullSink`] provided).
 //!
-//! `cpplookup-core` wires these into the engine behind its `obs`
-//! feature; this crate itself is always-on and feature-free so the
-//! engine's compatibility statistics keep working when tracing is
-//! compiled out.
+//! `cpplookup-core` wires these into the engine (its `obs` module);
+//! this crate itself is dependency-free and feature-free.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -27,11 +27,6 @@
 //!   and the portability fallback) and `epoll` (per-core reactor
 //!   threads multiplexing nonblocking connection state machines; see
 //!   the `reactor` module, Linux only).
-//! * [`shard`] — optional shard-affine read workers: with
-//!   `--shards N` untraced reads are routed to a fixed worker thread
-//!   by tenant hash, keeping each tenant's probe directory
-//!   cache-resident on one core instead of bouncing between
-//!   connection threads.
 //! * [`recorder`] — the flight recorder: a bounded ring of recent
 //!   completed requests plus a slow-query log with full span trees.
 //! * [`replication`] — follower mode: a background loop that tails a
@@ -65,7 +60,6 @@ pub mod protocol;
 pub mod recorder;
 pub mod replication;
 pub mod server;
-pub mod shard;
 
 pub use client::Client;
 pub use farm::{Farm, FarmOptions};
@@ -74,4 +68,3 @@ pub use protocol::{ErrorCode, Request, Response, WireLv, WireOutcome, WireSpan, 
 pub use recorder::{FlightEntry, FlightRecorder, SlowEntry};
 pub use replication::{FollowSource, Follower, FollowerConfig};
 pub use server::{IoModel, ObsConfig, Server, ServerConfig};
-pub use shard::ShardPool;

@@ -65,7 +65,6 @@ use crate::protocol::{
 };
 use crate::recorder::FlightRecorder;
 use crate::replication::wire_record;
-use crate::shard::ShardPool;
 
 /// Observability-layer configuration: per-tenant metric families and
 /// the flight recorder. Request tracing (the protocol TRACE flag) is
@@ -167,12 +166,6 @@ pub struct ServerConfig {
     /// Refuse client edits — the stance of a replication follower,
     /// whose only writer is the replayed log.
     pub read_only: bool,
-    /// Shard-affine read workers: with `N > 0`, untraced `QUERY` /
-    /// `BATCH` requests are executed by one of `N` worker threads
-    /// chosen by a stable hash of the tenant name, so each tenant's
-    /// probe directory stays cache-resident on one core. `0` (the
-    /// default) answers reads on the connection thread.
-    pub shards: usize,
     /// How connections are multiplexed: blocking threads (default) or
     /// the epoll reactor.
     pub io_model: IoModel,
@@ -198,7 +191,6 @@ impl Default for ServerConfig {
             fsync_every: 1,
             retain_epochs: 1,
             read_only: false,
-            shards: 0,
             io_model: IoModel::default(),
             reactors: 0,
             max_frames_per_turn: 32,
@@ -210,7 +202,26 @@ impl Default for ServerConfig {
 pub(crate) struct Shared {
     farm: Arc<Farm>,
     obs: Option<ObsState>,
-    shards: Option<ShardPool>,
+    io_model: IoModel,
+}
+
+impl Shared {
+    /// The Prometheus text served by `METRICS` and `GET /metrics`: the
+    /// process-global registry plus `server_io_model`, which is
+    /// rendered from this server's own config — a process-global gauge
+    /// would report whichever server in the process started last.
+    fn metrics_text(&self) -> String {
+        let model = match self.io_model {
+            IoModel::Threads => 0,
+            IoModel::Epoll => 1,
+        };
+        let mut text = cpplookup_obs::global().snapshot().render_prometheus();
+        text.push_str(&format!(
+            "# HELP server_io_model active I/O model (0 = threads, 1 = epoll reactor)\n\
+             # TYPE server_io_model gauge\nserver_io_model {model}\n"
+        ));
+        text
+    }
 }
 
 /// The observability layer's per-request handles, resolved once at
@@ -392,26 +403,15 @@ impl Server {
             farm.load(tenant, path)
                 .map_err(|(_, msg)| io::Error::other(format!("preload `{tenant}`: {msg}")))?;
         }
-        let shards =
-            (config.shards > 0).then(|| ShardPool::start(Arc::clone(&farm), config.shards));
         let shared = Arc::new(Shared {
             farm,
             obs: config.obs.enabled.then(|| ObsState::new(&config.obs)),
-            shards,
+            io_model: config.io_model,
         });
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let count = Arc::new(ConnCount::new(config.max_connections));
-        cpplookup_obs::global()
-            .gauge(
-                "server_io_model",
-                "active I/O model (0 = threads, 1 = epoll reactor)",
-            )
-            .set(match config.io_model {
-                IoModel::Threads => 0,
-                IoModel::Epoll => 1,
-            });
         #[cfg(target_os = "linux")]
         {
             let wake = Arc::new(Wakeup::new()?);
@@ -932,12 +932,9 @@ fn handle(shared: &Shared, req: Request) -> (Response, Option<ProbeTiming>) {
             member,
             trace: false,
             as_of,
-        } => plain(match &shared.shards {
-            Some(pool) => pool.query(tenant, class, member, as_of),
-            None => match farm.query_at(&tenant, &class, &member, as_of) {
-                Ok(outcome) => Response::Outcome(outcome),
-                Err(e) => err(e),
-            },
+        } => plain(match farm.query_at(&tenant, &class, &member, as_of) {
+            Ok(outcome) => Response::Outcome(outcome),
+            Err(e) => err(e),
         }),
         Request::Batch {
             tenant,
@@ -953,12 +950,9 @@ fn handle(shared: &Shared, req: Request) -> (Response, Option<ProbeTiming>) {
             probes,
             trace: false,
             as_of,
-        } => plain(match &shared.shards {
-            Some(pool) => pool.batch(tenant, probes, as_of),
-            None => match farm.batch_at(&tenant, &probes, as_of) {
-                Ok(outcomes) => Response::Outcomes(outcomes),
-                Err(e) => err(e),
-            },
+        } => plain(match farm.batch_at(&tenant, &probes, as_of) {
+            Ok(outcomes) => Response::Outcomes(outcomes),
+            Err(e) => err(e),
         }),
         Request::Edit { tenant, directive } => plain(match farm.edit(&tenant, &directive) {
             Ok(epoch) => Response::Edited { epoch },
@@ -969,7 +963,7 @@ fn handle(shared: &Shared, req: Request) -> (Response, Option<ProbeTiming>) {
             Err(e) => err(e),
         }),
         Request::Metrics => plain(Response::Metrics {
-            text: cpplookup_obs::global().snapshot().render_prometheus(),
+            text: shared.metrics_text(),
         }),
         Request::Subscribe { .. } => plain(Response::Error {
             code: ErrorCode::BadPayload,
@@ -1130,11 +1124,7 @@ pub(crate) fn serve_admin(mut stream: TcpStream, shared: &Shared, prefill: &[u8]
         .counter("server_admin_requests_total", "admin HTTP requests served")
         .inc();
     let (status, content_type, body) = match target.as_str() {
-        "/metrics" => (
-            "200 OK",
-            "text/plain; version=0.0.4",
-            cpplookup_obs::global().snapshot().render_prometheus(),
-        ),
+        "/metrics" => ("200 OK", "text/plain; version=0.0.4", shared.metrics_text()),
         "/healthz" => ("200 OK", "text/plain", "ok\n".to_owned()),
         "/tenants" => (
             "200 OK",

@@ -181,11 +181,11 @@ fn epoll_full_session_matches_threads_byte_for_byte() {
         WireOutcome::Resolved { class, .. } => assert_eq!(class, "D"),
         other => panic!("unexpected {other:?}"),
     }
-    // The io-model gauge is exported (its value is process-global, so
-    // concurrent tests starting threaded servers may overwrite it —
-    // asserting presence here, the value in e27-smoke's single-server
-    // runs).
-    assert!(c.metrics().unwrap().contains("server_io_model"));
+    // Each server reports its own I/O model, even with the other
+    // model's server running in the same process.
+    assert!(c.metrics().unwrap().contains("server_io_model 1"));
+    let mut t = Client::connect(threads.addr(), Some(Duration::from_secs(10))).unwrap();
+    assert!(t.metrics().unwrap().contains("server_io_model 0"));
 }
 
 /// Traced responses carry measured durations, so they are compared

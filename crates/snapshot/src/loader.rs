@@ -1185,19 +1185,38 @@ impl SnapshotTable {
         Ok(engine)
     }
 
-    /// Pre-decodes the whole table into a flat
-    /// [`DispatchIndex`](cpplookup_core::DispatchIndex): every varint
-    /// payload is decoded exactly once here, and queries afterwards
-    /// touch only the index's fixed-width arrays — the serving
-    /// configuration for snapshot-backed deployments
-    /// (`batch --snapshot --serve` in the CLI).
-    ///
-    /// Prefer the backend-generic
-    /// [`DispatchIndex::from_backend`](cpplookup_core::DispatchIndex::from_backend)
-    /// in new code; this remains as the snapshot-specific delegate
-    /// behind `&SnapshotTable`'s
-    /// [`IntoDispatchIndex`](cpplookup_core::IntoDispatchIndex) impl.
-    pub fn dispatch_index(&self) -> cpplookup_core::DispatchIndex {
+    /// Recovers the winning definition path like
+    /// [`LookupTable::resolve_path`](cpplookup_core::LookupTable::resolve_path),
+    /// walking red `via` parent pointers decoded from the buffer.
+    pub fn resolve_path(&self, chg: &Chg, c: ClassId, m: MemberId) -> Option<ChgPath> {
+        let mut rev = vec![c];
+        let mut cur = c;
+        loop {
+            match self.entry(cur, m)? {
+                Entry::Red { via: Some(x), .. } => {
+                    rev.push(x);
+                    cur = x;
+                }
+                Entry::Red { via: None, .. } => break,
+                Entry::Blue(_) => return None,
+            }
+        }
+        rev.reverse();
+        ChgPath::new(chg, rev).ok()
+    }
+}
+
+/// Pre-decodes the whole table into a flat
+/// [`DispatchIndex`](cpplookup_core::DispatchIndex): every varint
+/// payload is decoded exactly once here, and queries afterwards touch
+/// only the index's fixed-width arrays — the serving configuration for
+/// snapshot-backed deployments (`batch --snapshot --serve` in the CLI).
+impl cpplookup_core::IntoDispatchIndex for &SnapshotTable {
+    fn backend_label(&self) -> &'static str {
+        "snapshot"
+    }
+
+    fn into_dispatch_index(self) -> cpplookup_core::DispatchIndex {
         let start = Instant::now();
         // Version ≥ 2 snapshots ship their probe directory's hash
         // pre-compiled: reuse it instead of re-running the displacement
@@ -1220,36 +1239,6 @@ impl SnapshotTable {
             start.elapsed().as_nanos() as u64,
         );
         index
-    }
-
-    /// Recovers the winning definition path like
-    /// [`LookupTable::resolve_path`](cpplookup_core::LookupTable::resolve_path),
-    /// walking red `via` parent pointers decoded from the buffer.
-    pub fn resolve_path(&self, chg: &Chg, c: ClassId, m: MemberId) -> Option<ChgPath> {
-        let mut rev = vec![c];
-        let mut cur = c;
-        loop {
-            match self.entry(cur, m)? {
-                Entry::Red { via: Some(x), .. } => {
-                    rev.push(x);
-                    cur = x;
-                }
-                Entry::Red { via: None, .. } => break,
-                Entry::Blue(_) => return None,
-            }
-        }
-        rev.reverse();
-        ChgPath::new(chg, rev).ok()
-    }
-}
-
-impl cpplookup_core::IntoDispatchIndex for &SnapshotTable {
-    fn backend_label(&self) -> &'static str {
-        "snapshot"
-    }
-
-    fn into_dispatch_index(self) -> cpplookup_core::DispatchIndex {
-        self.dispatch_index()
     }
 }
 
@@ -1344,7 +1333,7 @@ mod tests {
     use super::*;
     use crate::Snapshot;
     use cpplookup_chg::fixtures;
-    use cpplookup_core::{DirectoryKind, LookupTable};
+    use cpplookup_core::{DirectoryKind, DispatchIndex, LookupTable};
 
     fn roundtrip(g: &Chg) -> SnapshotTable {
         SnapshotTable::from_bytes(Snapshot::compile(g).into_bytes()).expect("roundtrip")
@@ -1424,7 +1413,7 @@ mod tests {
         let g = fixtures::fig3();
         let snap = roundtrip(&g);
         assert!(snap.mph.is_some(), "v2 load must decode the MPH section");
-        let index = snap.dispatch_index();
+        let index = DispatchIndex::from_backend(&snap);
         assert_eq!(index.directory_kind(), DirectoryKind::Mph);
         let table = LookupTable::build(&g);
         for c in g.classes() {
@@ -1441,7 +1430,7 @@ mod tests {
         let v1 = downgrade_to_v1(&v2);
         let snap = SnapshotTable::from_bytes(v1).expect("v1 snapshots must stay loadable");
         assert!(snap.mph.is_none());
-        let index = snap.dispatch_index();
+        let index = DispatchIndex::from_backend(&snap);
         assert_eq!(index.directory_kind(), DirectoryKind::Open);
         // Downgrading loses no data: every outcome matches the v2 load.
         let fresh = roundtrip(&g);
@@ -1481,7 +1470,7 @@ mod tests {
         let d = u32::from_le_bytes(good[at + 16..at + 20].try_into().unwrap());
         corrupt_mph_and_reseal(&mut bent, at + 16, &(d ^ 1).to_le_bytes());
         if let Ok(snap) = SnapshotTable::from_bytes(bent) {
-            let index = snap.dispatch_index();
+            let index = DispatchIndex::from_backend(&snap);
             let table = LookupTable::build(&g);
             for c in g.classes() {
                 for m in g.member_ids() {
@@ -1547,7 +1536,7 @@ mod tests {
     fn dispatch_index_matches_snapshot_outcomes() {
         let g = fixtures::fig9();
         let snap = roundtrip(&g);
-        let index = snap.dispatch_index();
+        let index = DispatchIndex::from_backend(&snap);
         assert_eq!(index.entry_count(), snap.entry_count());
         for c in g.classes() {
             for m in g.member_ids() {

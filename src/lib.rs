@@ -51,7 +51,7 @@
 //! use cpplookup::{chg::fixtures, DispatchIndex, LookupTable};
 //!
 //! let g = fixtures::fig2();
-//! let index = DispatchIndex::from_table(LookupTable::build(&g));
+//! let index = DispatchIndex::from_backend(LookupTable::build(&g));
 //! let e = g.class_by_name("E").unwrap();
 //! let m = g.member_by_name("m").unwrap();
 //! assert!(index.lookup_ref(e, m).is_resolved());

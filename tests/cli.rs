@@ -245,8 +245,7 @@ fn batch_metrics_emits_json_snapshot_and_applies_edit_directives() {
     assert!(stdout.contains("E::fresh"), "{stdout}");
     assert!(stderr.contains("applied: !member E fresh"), "{stderr}");
     // The final stdout line is the JSON snapshot: lazy + timed engine,
-    // so hit/miss counters and (with the obs feature) the latency
-    // histogram are nonzero.
+    // so hit/miss counters and the latency histogram are nonzero.
     let json = stdout.lines().last().expect("snapshot line");
     assert!(json.starts_with("{\"metrics\":["), "{json}");
     // 4 queries: `E m` misses cold (computing cached entries for its
@@ -261,15 +260,13 @@ fn batch_metrics_emits_json_snapshot_and_applies_edit_directives() {
         "{json}"
     );
     assert!(json.contains("\"edits\":["), "{json}");
-    if cfg!(feature = "obs") {
-        assert!(
-            json.contains("\"name\":\"engine_lookup_latency_ns\",\"type\":\"histogram\""),
-            "{json}"
-        );
-        // Per-edit sizes from the EditApplied trace events: the fresh
-        // member dirties E's derived closure but invalidates nothing.
-        assert!(json.contains("\"dirty\":1,\"invalidated\":0"), "{json}");
-    }
+    assert!(
+        json.contains("\"name\":\"engine_lookup_latency_ns\",\"type\":\"histogram\""),
+        "{json}"
+    );
+    // Per-edit sizes from the EditApplied trace events: the fresh
+    // member dirties E's derived closure but invalidates nothing.
+    assert!(json.contains("\"dirty\":1,\"invalidated\":0"), "{json}");
     let _ = std::fs::remove_file(path);
 }
 
@@ -629,10 +626,8 @@ fn stats_over_snapshot_packs_the_index_from_the_bytes() {
     ]);
     assert_eq!(code, Some(0), "stderr: {stderr}");
     assert!(stderr.contains("dispatch index:"), "{stderr}");
-    if cfg!(feature = "obs") {
-        assert!(stdout.contains("snapshot_loads_total"), "{stdout}");
-        assert!(stdout.contains("serve_index_builds_total"), "{stdout}");
-    }
+    assert!(stdout.contains("snapshot_loads_total"), "{stdout}");
+    assert!(stdout.contains("serve_index_builds_total"), "{stdout}");
 
     // Source-backed stats accepts the backend flag too and reports the
     // same index shape regardless of which impl packed it.

@@ -207,7 +207,7 @@ fn v1_snapshot_fixture_loads_through_the_open_fallback() {
         .join("chain_12_v1.snap");
     let old = SnapshotTable::load(&path)
         .unwrap_or_else(|e| panic!("{}: v1 snapshots must stay loadable: {e}", path.display()));
-    let old_index = old.dispatch_index();
+    let old_index = DispatchIndex::from_backend(&old);
     assert_eq!(
         old_index.directory_kind(),
         DirectoryKind::Open,
@@ -216,7 +216,7 @@ fn v1_snapshot_fixture_loads_through_the_open_fallback() {
     let fresh =
         SnapshotTable::from_bytes(Snapshot::compile(&families::chain(12, None)).into_bytes())
             .expect("recompile loads");
-    let fresh_index = fresh.dispatch_index();
+    let fresh_index = DispatchIndex::from_backend(&fresh);
     assert_eq!(fresh_index.directory_kind(), DirectoryKind::Mph);
     assert_eq!(old.class_count(), fresh.class_count());
     assert_eq!(old.entry_count(), fresh.entry_count());

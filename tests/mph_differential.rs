@@ -63,7 +63,7 @@ fn mph_and_open_directories_agree_on_the_full_corpus() {
     for (name, g) in corpus() {
         for statics in [StaticRule::Cpp, StaticRule::Ignore] {
             let table = LookupTable::build_with(&g, LookupOptions { statics });
-            let mph = DispatchIndex::from_table(table);
+            let mph = DispatchIndex::from_backend(table);
             assert_eq!(mph.directory_kind(), DirectoryKind::Mph, "{name}");
             let open = mph.with_directory_kind(DirectoryKind::Open);
             assert_eq!(open.directory_kind(), DirectoryKind::Open, "{name}");
@@ -109,7 +109,7 @@ proptest! {
         raw in proptest::collection::vec((any::<u16>(), any::<u16>()), 1..128),
     ) {
         let (name, g) = corpus().swap_remove(family);
-        let mph = DispatchIndex::from_table(LookupTable::build(&g));
+        let mph = DispatchIndex::from_backend(LookupTable::build(&g));
         let open = mph.with_directory_kind(DirectoryKind::Open);
         let probes: Vec<_> = raw
             .iter()
@@ -226,7 +226,7 @@ fn patched_directories_match_a_rebuilt_table_across_an_edit_script() {
     let mut serving = IndexedEngine::new(LookupEngine::new(base.clone()));
     let handle = serving.handle();
     let mut engine = LookupEngine::new(base);
-    let mut open = DispatchIndex::from_engine(&engine).with_directory_kind(DirectoryKind::Open);
+    let mut open = DispatchIndex::from_backend(&engine).with_directory_kind(DirectoryKind::Open);
     let mut pinned: Option<(Arc<PublishedIndex>, Chg, LookupTable)> = None;
     let (mut spilled_max, mut folds) = (0, 0);
     for (i, edit) in edits.iter().enumerate() {

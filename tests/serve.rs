@@ -88,8 +88,8 @@ fn dispatch_index_matches_table_and_snapshot_on_corpus() {
             let table = LookupTable::build_with(&g, options);
             let snap = SnapshotTable::from_bytes(Snapshot::compile_with(&g, options).into_bytes())
                 .expect("fresh snapshot loads");
-            let from_table = DispatchIndex::from_table(LookupTable::build_with(&g, options));
-            let from_snapshot = snap.dispatch_index();
+            let from_table = DispatchIndex::from_backend(LookupTable::build_with(&g, options));
+            let from_snapshot = DispatchIndex::from_backend(&snap);
             let engine = LookupEngine::with_options(
                 g.clone(),
                 cpplookup::EngineOptions {
@@ -97,7 +97,7 @@ fn dispatch_index_matches_table_and_snapshot_on_corpus() {
                     ..Default::default()
                 },
             );
-            let from_engine = DispatchIndex::from_engine(&engine);
+            let from_engine = DispatchIndex::from_backend(&engine);
             assert_eq!(
                 from_table.entry_count(),
                 snap.entry_count(),
@@ -155,7 +155,7 @@ fn dispatch_index_matches_table_and_snapshot_on_corpus() {
 fn index_batch_matches_singles_on_corpus() {
     for case in CASES {
         let g = (case.build)();
-        let index = DispatchIndex::from_table(LookupTable::build(&g));
+        let index = DispatchIndex::from_backend(LookupTable::build(&g));
         let mut probes: Vec<_> = g
             .classes()
             .flat_map(|c| g.member_ids().map(move |m| (c, m)))
@@ -306,7 +306,7 @@ fn concurrent_readers_never_observe_torn_or_regressing_indexes() {
 fn outcome_ref_shapes_round_trip() {
     let g = families::wide_diamond(6, Inheritance::NonVirtual);
     let table = LookupTable::build(&g);
-    let index = DispatchIndex::from_table(LookupTable::build(&g));
+    let index = DispatchIndex::from_backend(LookupTable::build(&g));
     let (mut resolved, mut ambiguous, mut missing) = (0usize, 0usize, 0usize);
     for c in g.classes() {
         for m in g.member_ids() {

@@ -75,11 +75,11 @@ fn lookup_ref_hot_path_is_allocation_free() {
     let bulk_g = families::wide_diamond(8, Inheritance::NonVirtual);
     let indexes = [
         (
-            DispatchIndex::from_table(LookupTable::build(&ambiguous_g)),
+            DispatchIndex::from_backend(LookupTable::build(&ambiguous_g)),
             &ambiguous_g,
         ),
         (
-            DispatchIndex::from_table(LookupTable::build(&bulk_g)),
+            DispatchIndex::from_backend(LookupTable::build(&bulk_g)),
             &bulk_g,
         ),
     ];
@@ -146,7 +146,7 @@ fn lookup_batch_into_hot_path_is_allocation_free() {
     let ambiguous_g = fixtures::fig1();
     let bulk_g = families::wide_diamond(8, Inheritance::NonVirtual);
     for g in [&ambiguous_g, &bulk_g] {
-        let index = DispatchIndex::from_table(LookupTable::build(g));
+        let index = DispatchIndex::from_backend(LookupTable::build(g));
         let mut probes: Vec<_> = g
             .classes()
             .flat_map(|c| g.member_ids().map(move |m| (c, m)))
@@ -195,7 +195,7 @@ fn lookup_batch_into_hot_path_is_allocation_free() {
 #[test]
 fn owned_lookup_allocates_on_ambiguous_hits() {
     let g = fixtures::fig1();
-    let index = DispatchIndex::from_table(LookupTable::build(&g));
+    let index = DispatchIndex::from_backend(LookupTable::build(&g));
     let e = g.class_by_name("E").unwrap();
     let m = g.member_by_name("m").unwrap();
     assert!(matches!(
